@@ -27,90 +27,68 @@ CacheArray::CacheArray(std::uint64_t size_bytes, unsigned assoc,
     _numSets = size_bytes / (static_cast<std::uint64_t>(assoc) *
                              line_bytes);
     assert(isPow2(_numSets));
+    _tags.assign(_numSets * _assoc, invalidAddr);
     _entries.resize(_numSets * _assoc);
 }
 
-std::uint64_t
-CacheArray::setIndex(Addr line_addr) const
+int
+CacheArray::findWay(Addr line_addr, Addr tag) const
 {
-    return (line_addr / _lineBytes) & (_numSets - 1);
-}
-
-CacheEntry *
-CacheArray::setBase(Addr line_addr)
-{
-    return &_entries[setIndex(line_addr) * _assoc];
-}
-
-const CacheEntry *
-CacheArray::setBase(Addr line_addr) const
-{
-    return &_entries[setIndex(line_addr) * _assoc];
+    const Addr *tags = &_tags[setBase(line_addr)];
+    for (unsigned way = 0; way < _assoc; ++way) {
+        if (tags[way] == tag)
+            return static_cast<int>(way);
+    }
+    return -1;
 }
 
 CacheEntry *
 CacheArray::findEntry(Addr line_addr)
 {
-    CacheEntry *base = setBase(line_addr);
-    for (unsigned way = 0; way < _assoc; ++way) {
-        if (base[way].valid && base[way].lineAddr == line_addr)
-            return &base[way];
-    }
-    return nullptr;
+    assert(line_addr != invalidAddr);
+    int way = findWay(line_addr, line_addr);
+    return way < 0 ? nullptr : &_entries[setBase(line_addr) + way];
 }
 
 const CacheEntry *
 CacheArray::findEntry(Addr line_addr) const
 {
-    const CacheEntry *base = setBase(line_addr);
-    for (unsigned way = 0; way < _assoc; ++way) {
-        if (base[way].valid && base[way].lineAddr == line_addr)
-            return &base[way];
-    }
-    return nullptr;
+    assert(line_addr != invalidAddr);
+    int way = findWay(line_addr, line_addr);
+    return way < 0 ? nullptr : &_entries[setBase(line_addr) + way];
 }
 
 bool
 CacheArray::hasFreeWay(Addr line_addr) const
 {
-    const CacheEntry *base = setBase(line_addr);
-    for (unsigned way = 0; way < _assoc; ++way) {
-        if (!base[way].valid)
-            return true;
-    }
-    return false;
+    return findWay(line_addr, invalidAddr) >= 0;
 }
 
 CacheEntry &
 CacheArray::allocate(Addr line_addr)
 {
     assert(findEntry(line_addr) == nullptr);
-    CacheEntry *base = setBase(line_addr);
-    for (unsigned way = 0; way < _assoc; ++way) {
-        CacheEntry &entry = base[way];
-        if (!entry.valid) {
-            entry.valid = true;
-            entry.lineAddr = line_addr;
-            entry.state = 0;
-            entry.data.fill(0);
-            entry.dirty = 0;
-            touch(entry);
-            return entry;
-        }
-    }
-    assert(false && "allocate called with no free way");
-    return base[0];
+    int way = findWay(line_addr, invalidAddr);
+    assert(way >= 0 && "allocate called with no free way");
+    std::size_t idx = setBase(line_addr) + way;
+    _tags[idx] = line_addr;
+    CacheEntry &entry = _entries[idx];
+    entry.state = 0;
+    entry.data.fill(0);
+    entry.dirty = 0;
+    touch(entry);
+    return entry;
 }
 
 CacheEntry &
 CacheArray::victim(Addr line_addr)
 {
-    CacheEntry *base = setBase(line_addr);
+    std::size_t base = setBase(line_addr);
     CacheEntry *lru = nullptr;
     for (unsigned way = 0; way < _assoc; ++way) {
-        CacheEntry &entry = base[way];
-        if (!entry.valid)
+        if (_tags[base + way] == invalidAddr)
             continue;
+        CacheEntry &entry = _entries[base + way];
         if (lru == nullptr || entry.lastUsed < lru->lastUsed)
             lru = &entry;
     }
@@ -121,8 +99,7 @@ CacheArray::victim(Addr line_addr)
 void
 CacheArray::invalidate(CacheEntry &entry)
 {
-    entry.valid = false;
-    entry.lineAddr = invalidAddr;
+    _tags[wayIndex(entry)] = invalidAddr;
     entry.state = 0;
     entry.clearDirty();
 }
@@ -130,17 +107,14 @@ CacheArray::invalidate(CacheEntry &entry)
 void
 CacheArray::invalidateAll()
 {
-    for (auto &entry : _entries) {
-        if (entry.valid)
-            invalidate(entry);
-    }
+    forEachValid([this](CacheEntry &entry, Addr) { invalidate(entry); });
 }
 
 std::vector<CacheEntry *>
 CacheArray::setEntries(Addr line_addr)
 {
     std::vector<CacheEntry *> ways;
-    CacheEntry *base = setBase(line_addr);
+    CacheEntry *base = setWays(line_addr);
     ways.reserve(_assoc);
     for (unsigned way = 0; way < _assoc; ++way)
         ways.push_back(&base[way]);
@@ -151,8 +125,8 @@ std::uint64_t
 CacheArray::validCount() const
 {
     std::uint64_t count = 0;
-    for (const auto &entry : _entries)
-        count += entry.valid ? 1 : 0;
+    for (Addr tag : _tags)
+        count += tag != invalidAddr ? 1 : 0;
     return count;
 }
 

@@ -5,11 +5,21 @@
  *
  * The array is protocol-agnostic: controllers store their coherence state
  * in each entry's integer @c state field and interpret it themselves.
+ *
+ * Tags live apart from the entries, in one contiguous plane with a line
+ * address per way (invalidAddr when the way is free). The plane is the
+ * only record of which line a way holds and whether it is valid, so a
+ * lookup compares a set's tags within one or two host cache lines
+ * instead of striding over whole entries, and the whole-array walks
+ * (flash invalidation, dirty writeback) skip free ways without touching
+ * their entries.
  */
 
 #ifndef DRF_MEM_CACHE_ARRAY_HH
 #define DRF_MEM_CACHE_ARRAY_HH
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -19,11 +29,13 @@
 namespace drf
 {
 
-/** One cache line: tag, controller-defined state, data, dirty mask. */
+/**
+ * One cache line's payload: controller-defined state, data, dirty mask.
+ * Its tag and validity are the owning CacheArray's (lineAddr(),
+ * isValid()).
+ */
 struct CacheEntry
 {
-    bool valid = false;
-    Addr lineAddr = invalidAddr;
     int state = 0;
     LineData data{};
     ByteMask dirty = 0;         ///< per-byte dirty bitmask
@@ -84,15 +96,38 @@ class CacheArray
     /** Invalidate every valid line (VIPER acquire flash-invalidation). */
     void invalidateAll();
 
+    /** Line held by @p entry, or invalidAddr if its way is free. */
+    Addr lineAddr(const CacheEntry &entry) const
+    {
+        return _tags[wayIndex(entry)];
+    }
+
+    /** True if @p entry's way holds a line. */
+    bool isValid(const CacheEntry &entry) const
+    {
+        return lineAddr(entry) != invalidAddr;
+    }
+
+    /**
+     * Call @p fn(entry, line_addr) for every valid entry, in way order
+     * (set 0 way 0 first). @p fn may invalidate the entry it is given,
+     * but must not allocate.
+     */
+    template <typename Fn>
+    void
+    forEachValid(Fn &&fn)
+    {
+        for (std::size_t i = 0; i < _tags.size(); ++i) {
+            if (_tags[i] != invalidAddr)
+                fn(_entries[i], _tags[i]);
+        }
+    }
+
     /** Record a use of @p entry for LRU bookkeeping. */
     void touch(CacheEntry &entry) { entry.lastUsed = ++_useClock; }
 
     /** Number of currently valid entries. */
     std::uint64_t validCount() const;
-
-    /** All entries (tests and flush walks). */
-    std::vector<CacheEntry> &entries() { return _entries; }
-    const std::vector<CacheEntry> &entries() const { return _entries; }
 
     /**
      * Pointers to every way of @p line_addr's set, for controllers that
@@ -105,22 +140,44 @@ class CacheArray
      * contiguous, so hot paths can walk them without the vector that
      * setEntries() builds.
      */
-    CacheEntry *setWays(Addr line_addr) { return setBase(line_addr); }
+    CacheEntry *setWays(Addr line_addr)
+    {
+        return &_entries[setBase(line_addr)];
+    }
     const CacheEntry *setWays(Addr line_addr) const
     {
-        return setBase(line_addr);
+        return &_entries[setBase(line_addr)];
+    }
+
+    /** Tags of @p line_addr's set, parallel to setWays(). */
+    const Addr *setTags(Addr line_addr) const
+    {
+        return &_tags[setBase(line_addr)];
     }
 
   private:
-    std::uint64_t setIndex(Addr line_addr) const;
-    CacheEntry *setBase(Addr line_addr);
-    const CacheEntry *setBase(Addr line_addr) const;
+    /** Index of the first way of @p line_addr's set. */
+    std::size_t setBase(Addr line_addr) const
+    {
+        return ((line_addr / _lineBytes) & (_numSets - 1)) * _assoc;
+    }
+
+    std::size_t wayIndex(const CacheEntry &entry) const
+    {
+        assert(&entry >= _entries.data() &&
+               &entry < _entries.data() + _entries.size());
+        return static_cast<std::size_t>(&entry - _entries.data());
+    }
+
+    /** Way of @p line_addr's set holding @p tag, or -1. */
+    int findWay(Addr line_addr, Addr tag) const;
 
     unsigned _assoc;
     unsigned _lineBytes;
     std::uint64_t _numSets;
     std::uint64_t _useClock = 0;
-    std::vector<CacheEntry> _entries;
+    std::vector<Addr> _tags;          ///< per way; invalidAddr = free
+    std::vector<CacheEntry> _entries; ///< per way, parallel to _tags
 };
 
 } // namespace drf

@@ -41,10 +41,7 @@ SimpleMemory::recvMsg(Packet &pkt)
         _cWrites->inc();
         LineData &stored = line(pkt.addr);
         assert(pkt.dataLen == _lineBytes);
-        for (unsigned i = 0; i < _lineBytes; ++i) {
-            if (maskTest(pkt.mask, i))
-                stored[i] = pkt.data[i];
-        }
+        mergeMasked(stored, pkt.data, pkt.mask, _lineBytes);
         pkt.type = MsgType::MemWBAck;
         pkt.clearData();
     } else {

@@ -290,10 +290,11 @@ CpuCache::makeRoom(Addr line_addr)
     // copy in the array and must not be victimized underneath it).
     CacheEntry *victim_ptr = nullptr;
     CacheEntry *ways = _array.setWays(line_addr);
+    const Addr *tags = _array.setTags(line_addr);
     for (unsigned w = 0; w < _array.assoc(); ++w) {
-        CacheEntry *way = &ways[w];
-        if (!way->valid || _tbes.contains(way->lineAddr))
+        if (tags[w] == invalidAddr || _tbes.contains(tags[w]))
             continue;
+        CacheEntry *way = &ways[w];
         if (victim_ptr == nullptr || way->lastUsed < victim_ptr->lastUsed)
             victim_ptr = way;
     }
@@ -302,7 +303,7 @@ CpuCache::makeRoom(Addr line_addr)
     CacheEntry &victim = *victim_ptr;
     TransCtx ctx;
     ctx.entry = &victim;
-    ctx.line = victim.lineAddr;
+    ctx.line = _array.lineAddr(victim);
     table().fire(*this, EvRepl, victim.state == LineM ? StM : StS, ctx);
     return true;
 }
@@ -315,7 +316,7 @@ CpuCache::actReplaceDirty(TransCtx &ctx)
     Tbe tbe;
     tbe.transient = StMI;
     tbe.wbData = victim.data;
-    Addr victim_line = victim.lineAddr;
+    Addr victim_line = _array.lineAddr(victim);
     _tbes.emplace(victim_line, std::move(tbe));
     Packet wb;
     wb.type = MsgType::Putx;
@@ -348,9 +349,9 @@ CpuCache::handleData(Packet &pkt)
         // one of them resolves. Checked before the transition is
         // recorded, so a retried fill does not double-count coverage.
         bool can_fill = false;
-        const CacheEntry *ways = _array.setWays(line);
+        const Addr *tags = _array.setTags(line);
         for (unsigned w = 0; w < _array.assoc(); ++w) {
-            if (ways[w].valid && !_tbes.contains(ways[w].lineAddr)) {
+            if (tags[w] != invalidAddr && !_tbes.contains(tags[w])) {
                 can_fill = true;
                 break;
             }

@@ -390,10 +390,7 @@ Directory::actGpuWriteOwned(TransCtx &ctx)
         Txn &txn = *l2.txn;
         assert(txn.haveProbeData);
         LineData buf = txn.probeData;
-        for (unsigned i = 0; i < _cfg.lineBytes; ++i) {
-            if (maskTest(txn.origin.mask, i))
-                buf[i] = txn.origin.data[i];
-        }
+        mergeMasked(buf, txn.origin.data, txn.origin.mask, _cfg.lineBytes);
         l2.owner = -1;
         l2.sharers.clear();
         l2.stable = StU;
@@ -850,10 +847,7 @@ Directory::actDmaWriteOwned(TransCtx &ctx)
         Txn &txn = *l2.txn;
         assert(txn.haveProbeData);
         LineData buf = txn.probeData;
-        for (unsigned i = 0; i < _cfg.lineBytes; ++i) {
-            if (maskTest(txn.origin.mask, i))
-                buf[i] = txn.origin.data[i];
-        }
+        mergeMasked(buf, txn.origin.data, txn.origin.mask, _cfg.lineBytes);
         l2.owner = -1;
         l2.sharers.clear();
         l2.stable = StU;

@@ -455,14 +455,12 @@ GpuL1Cache::flashInvalidate()
     _cFlashInvalidates->inc();
     bool any = false;
     TransCtx ctx;
-    for (auto &entry : _array.entries()) {
-        if (entry.valid) {
-            ctx.entry = &entry;
-            ctx.line = entry.lineAddr;
-            _table->fire(*this, EvEvict, entryState(entry), ctx);
-            any = true;
-        }
-    }
+    _array.forEachValid([&](CacheEntry &entry, Addr line) {
+        ctx.entry = &entry;
+        ctx.line = line;
+        _table->fire(*this, EvEvict, entryState(entry), ctx);
+        any = true;
+    });
     _tbes.forEach([&](Addr line, const Tbe &) {
         // In-flight fills are fetched from the L2 at or after the acquire
         // point, so they are left to complete.
@@ -498,13 +496,13 @@ void
 GpuL1Cache::writebackAllDirty()
 {
     TransCtx ctx;
-    for (auto &entry : _array.entries()) {
-        if (entry.valid && entry.state == kLineDirty) {
+    _array.forEachValid([&](CacheEntry &entry, Addr line) {
+        if (entry.state == kLineDirty) {
             ctx.entry = &entry;
-            ctx.line = entry.lineAddr;
+            ctx.line = line;
             _table->fire(*this, EvWB, StM, ctx);
         }
-    }
+    });
 }
 
 void
@@ -514,7 +512,7 @@ GpuL1Cache::writebackEntry(CacheEntry &entry)
         return;
     Packet wt;
     wt.type = MsgType::WrThrough;
-    wt.addr = entry.lineAddr;
+    wt.addr = _array.lineAddr(entry);
     wt.id = _nextId++;
     wt.issueTick = curTick();
     wt.dataLen = static_cast<std::uint16_t>(_cfg.lineBytes);
@@ -525,7 +523,7 @@ GpuL1Cache::writebackEntry(CacheEntry &entry)
     // type, which actCompleteWriteThrough reads as "no core response".
     Packet marker;
     marker.type = MsgType::WrThrough;
-    marker.addr = entry.lineAddr;
+    marker.addr = wt.addr;
     marker.id = wt.id;
     _pendingWT.emplace(wt.id, marker);
     ++_outstandingWT;
@@ -558,7 +556,7 @@ GpuL1Cache::fillLine(Addr line_addr, const LineData &data)
         CacheEntry &victim = _array.victim(line_addr);
         TransCtx ctx;
         ctx.entry = &victim;
-        ctx.line = victim.lineAddr;
+        ctx.line = _array.lineAddr(victim);
         _table->fire(*this, EvRepl, entryState(victim), ctx);
     }
     CacheEntry &entry = _array.allocate(line_addr);

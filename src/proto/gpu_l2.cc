@@ -231,12 +231,8 @@ GpuL2Cache::actWriteThrough(TransCtx &ctx)
         // Merge the masked bytes into the local copy.
         _array.touch(*entry);
         assert(pkt.dataLen == _cfg.lineBytes);
-        for (unsigned i = 0; i < _cfg.lineBytes; ++i) {
-            if (maskTest(pkt.mask, i)) {
-                entry->data[i] = pkt.data[i];
-                entry->dirty |= maskBit(i);
-            }
-        }
+        mergeMasked(entry->data, pkt.data, pkt.mask, _cfg.lineBytes);
+        entry->dirty |= pkt.mask & lineMask(_cfg.lineBytes);
     }
 
     // Forward toward memory (VIPER keeps memory up to date so a release
@@ -390,7 +386,7 @@ GpuL2Cache::fillLine(Addr line_addr, const LineData &data)
         CacheEntry &victim = _array.victim(line_addr);
         TransCtx ctx;
         ctx.entry = &victim;
-        ctx.line = victim.lineAddr;
+        ctx.line = _array.lineAddr(victim);
         table().fire(*this, EvL2Repl, StV, ctx);
     }
     CacheEntry &entry = _array.allocate(line_addr);
@@ -419,12 +415,9 @@ GpuL2Cache::fillLine(Addr line_addr, const LineData &data)
                       return a.first < b.first;
                   });
         for (const auto &[id, original] : _mergeScratch) {
-            for (unsigned i = 0; i < _cfg.lineBytes; ++i) {
-                if (maskTest(original->mask, i)) {
-                    entry.data[i] = original->data[i];
-                    entry.dirty |= maskBit(i);
-                }
-            }
+            mergeMasked(entry.data, original->data, original->mask,
+                        _cfg.lineBytes);
+            entry.dirty |= original->mask & lineMask(_cfg.lineBytes);
             _cRefillMerges->inc();
         }
     }

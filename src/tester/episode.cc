@@ -56,9 +56,9 @@ EpisodeGenerator::EpisodeGenerator(const VariableMap &vmap,
     : _vmap(&vmap), _cfg(cfg), _rng(&rng),
       _activeReaders(vmap.numVars(), 0),
       _activeWriters(vmap.numVars(), 0),
-      _epWriterLane(vmap.numVars(), -1),
+      _conflict(vmap.numVars(), 0),
+      _epWriterLane(vmap.numVars(), 0),
       _epWriteIdx(vmap.numVars(), Episode::kNoWrite),
-      _epRead(vmap.numVars(), 0),
       _lastWriterCu(vmap.numVars(), -1),
       _ctaPendingOwner(vmap.numVars(), -1),
       _ctaPendingStamp(vmap.numVars(), 0)
@@ -73,12 +73,10 @@ EpisodeGenerator::pickStoreVar(unsigned cu)
     for (unsigned attempt = 0; attempt < _cfg.pickAttempts; ++attempt) {
         VarId var = _vmap->normalVar(static_cast<std::uint32_t>(
             _rng->below(_vmap->numNormalVars())));
-        // Rule 1 and 2 against other active episodes.
-        if (activeWriters(var) > 0 || activeReaders(var) > 0)
-            continue;
-        // Within the episode: one writer per variable, and never write
-        // what any lane already read (lanes are unordered peers).
-        if (_epWriterLane[var] >= 0 || _epRead[var])
+        // Rule 1 and 2 against other active episodes; within the
+        // episode, one writer per variable, and never write what any
+        // lane already read (lanes are unordered peers).
+        if (_conflict[var] != 0)
             continue;
         // Rule 4: another CU's CTA-pending writes are not globally
         // visible yet; storing over them would race with the eventual
@@ -99,12 +97,12 @@ EpisodeGenerator::pickLoadVar(unsigned lane, unsigned cu, Scope scope)
         VarId var = _vmap->normalVar(static_cast<std::uint32_t>(
             _rng->below(_vmap->numNormalVars())));
         // Rule 1 against other active episodes.
-        if (activeWriters(var) > 0)
+        std::uint8_t flags = _conflict[var];
+        if (flags & kActiveWriter)
             continue;
         // Within the episode: only the writing lane itself may re-read
         // its own store (program order makes that deterministic).
-        std::int32_t writer = _epWriterLane[var];
-        if (writer >= 0 && static_cast<unsigned>(writer) != lane)
+        if ((flags & kEpWriter) && _epWriterLane[var] != lane)
             continue;
         if (_cfg.scopeMode == ScopeMode::Scoped) {
             // Rule 4: another CU's CTA-pending value is not visible.
@@ -153,18 +151,19 @@ EpisodeGenerator::generateInto(Episode &episode, std::uint32_t wavefront_id)
                 std::uint32_t value = _nextStoreValue++;
                 std::uint32_t wi = episode.addWrite(*var, lane, value);
                 episode.setStore(a, lane, *var, value, wi);
-                _epWriterLane[*var] = static_cast<std::int32_t>(lane);
+                _conflict[*var] |= kEpWriter;
+                _epWriterLane[*var] = lane;
                 _epWriteIdx[*var] = wi;
             } else {
                 auto var = pickLoadVar(lane, cu, episode.scope);
                 if (!var)
                     continue;
+                std::uint8_t &flags = _conflict[*var];
                 episode.setLoad(a, lane, *var,
-                                _epWriterLane[*var] >= 0
-                                    ? _epWriteIdx[*var]
-                                    : Episode::kNoWrite);
-                if (!_epRead[*var]) {
-                    _epRead[*var] = 1;
+                                (flags & kEpWriter) ? _epWriteIdx[*var]
+                                                    : Episode::kNoWrite);
+                if (!(flags & kEpRead)) {
+                    flags |= kEpRead;
                     episode.reads.push_back(*var);
                 }
             }
@@ -177,12 +176,13 @@ EpisodeGenerator::generateInto(Episode &episode, std::uint32_t wavefront_id)
     // costs O(footprint), not O(numVars)).
     for (const Episode::WriteEntry &w : episode.writes) {
         ++_activeWriters[w.var];
-        _epWriterLane[w.var] = -1;
-        _epWriteIdx[w.var] = Episode::kNoWrite;
+        _conflict[w.var] = static_cast<std::uint8_t>(
+            (_conflict[w.var] & ~kEpWriter) | kActiveWriter);
     }
     for (VarId var : episode.reads) {
         ++_activeReaders[var];
-        _epRead[var] = 0;
+        _conflict[var] = static_cast<std::uint8_t>(
+            (_conflict[var] & ~kEpRead) | kActiveReader);
     }
     ++_activeCount;
 }
@@ -192,11 +192,13 @@ EpisodeGenerator::retire(const Episode &episode)
 {
     for (const Episode::WriteEntry &w : episode.writes) {
         assert(_activeWriters[w.var] > 0);
-        --_activeWriters[w.var];
+        if (--_activeWriters[w.var] == 0)
+            _conflict[w.var] &= static_cast<std::uint8_t>(~kActiveWriter);
     }
     for (VarId var : episode.reads) {
         assert(_activeReaders[var] > 0);
-        --_activeReaders[var];
+        if (--_activeReaders[var] == 0)
+            _conflict[var] &= static_cast<std::uint8_t>(~kActiveReader);
     }
     assert(_activeCount > 0);
     --_activeCount;

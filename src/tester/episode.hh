@@ -389,21 +389,37 @@ class EpisodeGenerator
     EpisodeGenConfig _cfg;
     Random *_rng;
 
-    /** Indexed by VarId: hot-path conflict lookups are O(1). */
+    /** Indexed by VarId: active-episode reader/writer counts. */
     std::vector<std::uint32_t> _activeReaders;
     std::vector<std::uint32_t> _activeWriters;
     std::uint64_t _activeCount = 0;
 
     /**
-     * Per-variable scratch for the episode currently being generated
-     * (cleared via the episode's write/read lists after each build):
-     * the writing lane (-1 = none), its write-entry index, and a
-     * read-membership flag. These answer the generation rules' own-
-     * episode membership queries in O(1) without a per-episode hash map.
+     * Conflict flags, one byte per variable, tested first by every pick
+     * attempt: rules 1/2 and the own-episode rules need only this byte,
+     * and most store picks in a busy system fail it on all attempts, so
+     * the plane is kept small enough to stay cache-resident. The
+     * active-episode bits mirror a nonzero count above; the episode
+     * bits are scratch for the episode being generated.
      */
-    std::vector<std::int32_t> _epWriterLane;
+    enum ConflictFlag : std::uint8_t
+    {
+        kActiveWriter = 1, ///< some active episode stores the variable
+        kActiveReader = 2, ///< some active episode loads the variable
+        kEpWriter = 4,     ///< the episode being generated stores it
+        kEpRead = 8,       ///< the episode being generated loads it
+    };
+    std::vector<std::uint8_t> _conflict;
+
+    /**
+     * Per-variable scratch for the episode currently being generated,
+     * meaningful only while the variable's kEpWriter flag is set: the
+     * writing lane and its write-entry index. These answer the
+     * generation rules' own-episode queries in O(1) without a
+     * per-episode hash map.
+     */
+    std::vector<std::uint32_t> _epWriterLane;
     std::vector<std::uint32_t> _epWriteIdx;
-    std::vector<std::uint8_t> _epRead;
 
     /**
      * Scoped-discipline planes (ScopeMode::Scoped only). Per variable:

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/cache_array.hh"
+#include "sim/random.hh"
 
 using namespace drf;
 
@@ -31,8 +34,8 @@ TEST(CacheArray, AllocateAndFind)
     CacheArray array(1024, 2, kLine);
     EXPECT_EQ(array.findEntry(0x100), nullptr);
     CacheEntry &e = array.allocate(0x100);
-    EXPECT_TRUE(e.valid);
-    EXPECT_EQ(e.lineAddr, 0x100u);
+    EXPECT_TRUE(array.isValid(e));
+    EXPECT_EQ(array.lineAddr(e), 0x100u);
     EXPECT_EQ(e.data.size(), kLineBytes);
     EXPECT_EQ(array.findEntry(0x100), &e);
     EXPECT_EQ(array.validCount(), 1u);
@@ -122,8 +125,8 @@ TEST(CacheArray, TinyCacheOneSet)
     EXPECT_FALSE(array.hasFreeWay(5 * kLine));
     // Victim must be one of the two allocated lines.
     CacheEntry &v = array.victim(5 * kLine);
-    EXPECT_TRUE(v.lineAddr == 0 ||
-                v.lineAddr == static_cast<Addr>(kLine));
+    EXPECT_TRUE(array.lineAddr(v) == 0 ||
+                array.lineAddr(v) == static_cast<Addr>(kLine));
 }
 
 TEST(CacheArray, LineAlignHelpers)
@@ -132,4 +135,214 @@ TEST(CacheArray, LineAlignHelpers)
     EXPECT_EQ(lineOffset(0x12345, 64), 0x5u);
     EXPECT_EQ(lineAlign(0x40, 64), 0x40u);
     EXPECT_EQ(lineOffset(0x40, 64), 0x0u);
+}
+
+namespace
+{
+
+/**
+ * Reference model of a set-associative LRU array: one record per way
+ * holding its tag and last use, with no separate tag plane.
+ */
+struct RefArray
+{
+    struct Way
+    {
+        bool valid = false;
+        Addr tag = 0;
+        std::uint64_t lastUsed = 0;
+    };
+
+    RefArray(unsigned sets, unsigned assoc)
+        : sets(sets), assoc(assoc), ways(sets * assoc)
+    {
+    }
+
+    unsigned setOf(Addr line) const { return (line / kLine) % sets; }
+    Way &way(Addr line, unsigned w) { return ways[setOf(line) * assoc + w]; }
+
+    int
+    find(Addr line)
+    {
+        for (unsigned w = 0; w < assoc; ++w) {
+            if (way(line, w).valid && way(line, w).tag == line)
+                return static_cast<int>(w);
+        }
+        return -1;
+    }
+
+    int
+    freeWay(Addr line)
+    {
+        for (unsigned w = 0; w < assoc; ++w) {
+            if (!way(line, w).valid)
+                return static_cast<int>(w);
+        }
+        return -1;
+    }
+
+    int
+    lru(Addr line)
+    {
+        int best = -1;
+        for (unsigned w = 0; w < assoc; ++w) {
+            const Way &cand = way(line, w);
+            if (cand.valid &&
+                (best < 0 || cand.lastUsed < way(line, best).lastUsed))
+                best = static_cast<int>(w);
+        }
+        return best;
+    }
+
+    unsigned sets, assoc;
+    std::vector<Way> ways;
+    std::uint64_t clock = 0;
+};
+
+} // namespace
+
+TEST(CacheArray, MatchesReferenceModel)
+{
+    // Random allocate / touch / invalidate / victim-replace /
+    // invalidateAll sequences against the reference model. After every
+    // step the lookups, free-way and victim choices, validity and the
+    // valid-entry walk (in way order) must agree.
+    constexpr unsigned kSets = 4, kAssoc = 4, kLines = 40;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        CacheArray array(kSets * kAssoc * kLine, kAssoc, kLine);
+        RefArray ref(kSets, kAssoc);
+        Random rng(seed);
+        auto way_of = [&](Addr line, const CacheEntry &e) {
+            return static_cast<int>(&e - array.setWays(line));
+        };
+        for (int step = 0; step < 600; ++step) {
+            Addr line = rng.below(kLines) * kLine;
+            unsigned op = static_cast<unsigned>(rng.below(100));
+            int hit = ref.find(line);
+            CacheEntry *entry = array.findEntry(line);
+            ASSERT_EQ(entry != nullptr, hit >= 0) << "step " << step;
+            if (entry != nullptr) {
+                ASSERT_EQ(way_of(line, *entry), hit);
+            }
+            ASSERT_EQ(array.hasFreeWay(line), ref.freeWay(line) >= 0);
+
+            if (op < 1) {
+                array.invalidateAll();
+                for (auto &w : ref.ways)
+                    w.valid = false;
+            } else if (op < 25 && entry != nullptr) {
+                array.invalidate(*entry);
+                ref.way(line, hit).valid = false;
+            } else if (op < 50 && entry != nullptr) {
+                array.touch(*entry);
+                ref.way(line, hit).lastUsed = ++ref.clock;
+            } else if (entry == nullptr) {
+                if (ref.freeWay(line) < 0) {
+                    int lru = ref.lru(line);
+                    CacheEntry &victim = array.victim(line);
+                    ASSERT_EQ(way_of(line, victim), lru);
+                    ASSERT_EQ(array.lineAddr(victim),
+                              ref.way(line, lru).tag);
+                    array.invalidate(victim);
+                    ref.way(line, lru).valid = false;
+                }
+                int w = ref.freeWay(line);
+                CacheEntry &fresh = array.allocate(line);
+                ASSERT_EQ(way_of(line, fresh), w);
+                ASSERT_EQ(fresh.state, 0);
+                ASSERT_EQ(fresh.dirty, 0u);
+                fresh.dirty = maskBit(step % 64);
+                ref.way(line, w) = {true, line, ++ref.clock};
+            }
+
+            std::vector<Addr> walked;
+            array.forEachValid([&](CacheEntry &e, Addr tag) {
+                EXPECT_EQ(array.lineAddr(e), tag);
+                EXPECT_TRUE(array.isValid(e));
+                walked.push_back(tag);
+            });
+            std::vector<Addr> expected;
+            for (const auto &w : ref.ways) {
+                if (w.valid)
+                    expected.push_back(w.tag);
+            }
+            ASSERT_EQ(walked, expected) << "step " << step;
+            ASSERT_EQ(array.validCount(), expected.size());
+        }
+    }
+}
+
+TEST(CacheArray, InvalidatedEntryReportsNoLine)
+{
+    CacheArray array(1024, 2, kLine);
+    CacheEntry &e = array.allocate(0x80);
+    e.state = 3;
+    e.dirty = fullLineMask;
+    array.invalidate(e);
+    EXPECT_FALSE(array.isValid(e));
+    EXPECT_EQ(array.lineAddr(e), invalidAddr);
+    EXPECT_EQ(e.state, 0);
+    EXPECT_EQ(e.dirty, 0u);
+}
+
+TEST(CacheArray, WalkMayInvalidateTheVisitedEntry)
+{
+    // The flash-invalidate pattern: invalidate each entry as it is
+    // visited; every valid line is visited exactly once.
+    CacheArray array(1024, 2, kLine);
+    for (int i = 0; i < 12; ++i)
+        array.allocate(static_cast<Addr>(i) * kLine);
+    int visited = 0;
+    array.forEachValid([&](CacheEntry &e, Addr) {
+        array.invalidate(e);
+        ++visited;
+    });
+    EXPECT_EQ(visited, 12);
+    EXPECT_EQ(array.validCount(), 0u);
+}
+
+TEST(LineMerge, MergeMaskedMatchesByteLoop)
+{
+    // mergeMasked against the byte-at-a-time loop it replaced, over
+    // random data, masks (dense, sparse and beyond the line) and every
+    // legal line size.
+    Random rng(77);
+    for (unsigned line_bytes = 1; line_bytes <= kLineBytes;
+         line_bytes *= 2) {
+        for (int trial = 0; trial < 500; ++trial) {
+            LineData dst{}, src{};
+            for (unsigned i = 0; i < kLineBytes; ++i) {
+                dst[i] = static_cast<std::uint8_t>(rng.below(256));
+                src[i] = static_cast<std::uint8_t>(rng.below(256));
+            }
+            ByteMask mask = rng.range(0, ~ByteMask{0});
+            if (trial % 3 == 1)
+                mask &= rng.range(0, ~ByteMask{0});
+            else if (trial % 3 == 2)
+                mask = maskBit(static_cast<unsigned>(rng.below(64)));
+            LineData expect = dst;
+            for (unsigned i = 0; i < line_bytes; ++i) {
+                if (maskTest(mask, i))
+                    expect[i] = src[i];
+            }
+            mergeMasked(dst, src, mask, line_bytes);
+            ASSERT_EQ(dst, expect) << "line " << line_bytes << " mask "
+                                   << std::hex << mask;
+        }
+    }
+    EXPECT_EQ(lineMask(64), fullLineMask);
+    EXPECT_EQ(lineMask(32), 0xffffffffu);
+    EXPECT_EQ(lineMask(1), 1u);
+}
+
+TEST(LineMerge, ByteLanesSpreadsEveryPattern)
+{
+    for (unsigned bits = 0; bits < 256; ++bits) {
+        std::uint64_t expect = 0;
+        for (unsigned i = 0; i < 8; ++i) {
+            if ((bits >> i) & 1)
+                expect |= std::uint64_t{0xff} << (8 * i);
+        }
+        ASSERT_EQ(byteLanes(bits), expect) << bits;
+    }
 }

@@ -115,3 +115,138 @@ TEST(Random, ForkIndependent)
         EXPECT_EQ(a.below(1u << 20), b.below(1u << 20));
     (void)child;
 }
+
+// ----- exactness against std::mt19937_64 ---------------------------------
+//
+// Random's engine must reproduce std::mt19937_64's stream bit for bit:
+// every golden digest depends on it. The oracle below is the standard
+// engine driven through the same distributions.
+
+namespace
+{
+
+/** The helpers of Random, written over std::mt19937_64. */
+struct StdOracle
+{
+    explicit StdOracle(std::uint64_t seed) : eng(seed) {}
+
+    std::uint64_t
+    range(std::uint64_t lo, std::uint64_t hi)
+    {
+        return std::uniform_int_distribution<std::uint64_t>(lo, hi)(eng);
+    }
+
+    std::uint64_t below(std::uint64_t n) { return range(0, n - 1); }
+    bool pct(unsigned percent) { return range(0, 99) < percent; }
+
+    double
+    real()
+    {
+        return std::uniform_real_distribution<double>(0.0, 1.0)(eng);
+    }
+
+    std::mt19937_64 eng;
+};
+
+/** Seeds 0, 1, 2^64-1 and a few drawn from a fixed stream. */
+std::vector<std::uint64_t>
+oracleSeeds()
+{
+    std::vector<std::uint64_t> seeds{0, 1, ~std::uint64_t{0}};
+    std::mt19937_64 pick(20190101);
+    for (int i = 0; i < 5; ++i)
+        seeds.push_back(pick());
+    return seeds;
+}
+
+// 312 words per block: 4 blocks cross three refills.
+constexpr int kDrawsPastThreeRefills = 4 * 312 + 7;
+
+} // namespace
+
+TEST(RandomExact, EngineMatchesStdMt19937_64)
+{
+    for (std::uint64_t seed : oracleSeeds()) {
+        std::mt19937_64 oracle(seed);
+        Mt19937_64 engine(seed);
+        for (int i = 0; i < kDrawsPastThreeRefills; ++i)
+            ASSERT_EQ(engine(), oracle()) << "seed " << seed << " draw " << i;
+    }
+}
+
+TEST(RandomExact, StandardTenThousandthDraw)
+{
+    // The C++ standard's conformance value for default-seeded
+    // std::mt19937_64 ([rand.predef]).
+    Mt19937_64 engine(5489u);
+    std::uint64_t v = 0;
+    for (int i = 0; i < 10000; ++i)
+        v = engine();
+    EXPECT_EQ(v, 9981545732273789042ULL);
+}
+
+TEST(RandomExact, HelpersMatchStdDistributions)
+{
+    for (std::uint64_t seed : oracleSeeds()) {
+        Random rng(seed);
+        StdOracle oracle(seed);
+        for (int i = 0; i < kDrawsPastThreeRefills; ++i) {
+            switch (i % 5) {
+              case 0:
+                ASSERT_EQ(rng.range(3, 1'000'003), oracle.range(3, 1'000'003));
+                break;
+              case 1:
+                ASSERT_EQ(rng.below(4096), oracle.below(4096));
+                break;
+              case 2:
+                ASSERT_EQ(rng.pct(40), oracle.pct(40));
+                break;
+              case 3:
+                ASSERT_EQ(rng.real(), oracle.real());
+                break;
+              default:
+                // Full 64-bit range: one raw draw, no rejection.
+                ASSERT_EQ(rng.range(0, ~std::uint64_t{0}),
+                          oracle.range(0, ~std::uint64_t{0}));
+                break;
+            }
+        }
+    }
+}
+
+TEST(RandomExact, ShuffleAndChoiceMatchStdDistributions)
+{
+    for (std::uint64_t seed : oracleSeeds()) {
+        Random rng(seed);
+        StdOracle oracle(seed);
+        std::vector<int> v(300), expect(300);
+        for (int i = 0; i < 300; ++i)
+            v[i] = expect[i] = i;
+        for (int round = 0; round < 5; ++round) {
+            rng.shuffle(v);
+            for (std::size_t i = expect.size(); i > 1; --i)
+                std::swap(expect[i - 1], expect[oracle.below(i)]);
+            ASSERT_EQ(v, expect) << "seed " << seed << " round " << round;
+            ASSERT_EQ(rng.choice(v), expect[oracle.below(expect.size())]);
+        }
+    }
+}
+
+TEST(RandomExact, ForkMatchesStdSeeding)
+{
+    for (std::uint64_t seed : oracleSeeds()) {
+        Random rng(seed);
+        std::mt19937_64 oracle(seed);
+        // Fork after the parent has crossed a refill, twice.
+        for (int i = 0; i < 400; ++i)
+            ASSERT_EQ(rng.range(0, ~std::uint64_t{0}), oracle());
+        for (int f = 0; f < 2; ++f) {
+            Random child = rng.fork();
+            StdOracle child_oracle(oracle());
+            for (int i = 0; i < kDrawsPastThreeRefills; ++i)
+                ASSERT_EQ(child.below(1000), child_oracle.below(1000));
+        }
+        for (int i = 0; i < 10; ++i)
+            ASSERT_EQ(rng.range(0, ~std::uint64_t{0}), oracle());
+    }
+}

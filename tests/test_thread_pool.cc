@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <set>
@@ -67,32 +69,37 @@ TEST(ThreadPool, JobsCanSubmitJobs)
 
 TEST(ThreadPool, WorkDistributesAcrossWorkers)
 {
-    // With more jobs than workers and a round-robin submit, at least
-    // two distinct threads must participate (work stealing guarantees
-    // no single worker hoards everything while others idle).
+    // With more jobs than workers, a second worker must pick up work
+    // while the first is busy (work stealing guarantees no single worker
+    // hoards everything while others idle). The first job to start holds
+    // its worker until another worker has started a job, so a fast
+    // worker cannot drain the queue before the others wake; the wait is
+    // bounded so a pool that never hands work out fails instead of
+    // hanging.
     ThreadPool pool(4);
     std::mutex mutex;
+    std::condition_variable cv;
     std::set<std::thread::id> ids;
     std::atomic<int> count{0};
     for (int i = 0; i < 64; ++i) {
-        pool.submit([&mutex, &ids, &count] {
+        pool.submit([&mutex, &cv, &ids, &count] {
             {
-                std::lock_guard<std::mutex> lock(mutex);
+                std::unique_lock<std::mutex> lock(mutex);
+                bool first = ids.empty();
                 ids.insert(std::this_thread::get_id());
-            }
-            // Busy-spin briefly so jobs overlap on multi-core hosts.
-            std::atomic<int> spin{0};
-            while (spin.fetch_add(1, std::memory_order_relaxed) < 1000) {
+                if (first) {
+                    cv.wait_for(lock, std::chrono::seconds(10),
+                                [&ids] { return ids.size() >= 2; });
+                } else {
+                    cv.notify_all();
+                }
             }
             ++count;
         });
     }
     pool.waitIdle();
     EXPECT_EQ(count.load(), 64);
-    EXPECT_GE(ids.size(), 1u);
-    if (std::thread::hardware_concurrency() > 1) {
-        EXPECT_GE(ids.size(), 2u);
-    }
+    EXPECT_GE(ids.size(), 2u);
 }
 
 TEST(ThreadPool, SubmitFromManyThreads)
