@@ -61,9 +61,9 @@ class DmaEngine : public SimObject, public MsgReceiver
   private:
     struct Op
     {
-        bool isWrite;
-        Addr addr;
-        std::uint8_t fill;
+        bool isWrite = false;
+        Addr addr = 0;
+        std::uint8_t fill = 0;
         DoneFunc onDone; ///< set on the last op of a range only
     };
 

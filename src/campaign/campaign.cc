@@ -1,28 +1,12 @@
 #include "campaign/campaign.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <exception>
 
-#include "campaign/thread_pool.hh"
 #include "system/apu_system.hh"
 #include "tester/cpu_tester.hh"
 
 namespace drf
 {
-
-namespace
-{
-
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point start)
-{
-    return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-} // namespace
 
 ShardMerge::ShardMerge(const CampaignConfig &cfg,
                        std::size_t shards_planned)
@@ -176,58 +160,6 @@ ShardMerge::take(double wall_seconds)
                   return a.index < b.index;
               });
     return std::move(_result);
-}
-
-CampaignResult
-runCampaign(std::vector<ShardSpec> shards, const CampaignConfig &cfg)
-{
-    ShardMerge merge(cfg, shards.size());
-    if (shards.empty())
-        return merge.take(0.0);
-
-    unsigned jobs = cfg.jobs != 0 ? cfg.jobs : ThreadPool::defaultThreads();
-    jobs = std::min<unsigned>(jobs,
-                              static_cast<unsigned>(shards.size()));
-    merge.setJobs(jobs);
-
-    Clock::time_point start = Clock::now();
-    {
-        ThreadPool pool(jobs);
-        for (std::size_t i = 0; i < shards.size(); ++i) {
-            // The spec is moved into the job; the pool owns it until run.
-            pool.submit([&merge, start, i,
-                         spec = std::move(shards[i])]() mutable {
-                if (merge.stopRequested()) {
-                    merge.addSkipped();
-                    return;
-                }
-
-                ShardOutcome out;
-                try {
-                    out = spec.run();
-                } catch (const std::exception &e) {
-                    // Shard isolation: anything a tester failed to
-                    // convert itself becomes a structured failure here.
-                    out.result.passed = false;
-                    out.result.failureClass = FailureClass::Other;
-                    out.result.report = e.what();
-                } catch (...) {
-                    out.result.passed = false;
-                    out.result.failureClass = FailureClass::Other;
-                    out.result.report = "unknown shard exception";
-                }
-                if (out.name.empty())
-                    out.name = spec.name;
-                out.seed = spec.seed;
-                out.index = i;
-
-                merge.add(std::move(out), secondsSince(start));
-            });
-        }
-        pool.waitIdle();
-    }
-
-    return merge.take(secondsSince(start));
 }
 
 ShardSpec

@@ -7,11 +7,13 @@
  * suite. Every ApuSystem + tester pair is fully self-contained (its own
  * EventQueue, its own RNG) and deterministic, which makes N seeds x M
  * configurations embarrassingly parallel. The campaign runner shards
- * them across a work-stealing thread pool, merges per-shard coverage
- * grids and result statistics under one mutex, records the union
- * coverage saturation curve, and stops early when the union saturates
- * or a shard fails (preserving the first failure's seed and report for
- * deterministic single-threaded reproduction).
+ * them across a work-stealing thread pool, runs each one under the
+ * supervisor (supervisor.hh: exception barrier, optional fork
+ * isolation, reaping, transient retry, journal and resume), merges
+ * per-shard coverage grids and result statistics under one mutex,
+ * records the union coverage saturation curve, and stops early when the
+ * union saturates or a shard fails (preserving the first failure's seed
+ * and report for deterministic single-threaded reproduction).
  *
  * Determinism contract: each shard's TesterResult is bit-for-bit
  * reproducible from its (configuration, seed) pair regardless of thread
@@ -74,7 +76,7 @@ struct ShardSpec
     std::shared_ptr<const GpuTestPreset> gpuPreset;
 };
 
-/** Campaign-level policy knobs. */
+/** Campaign policy: scheduling, early stop, and shard supervision. */
 struct CampaignConfig
 {
     /** Worker threads; 0 means hardware concurrency. */
@@ -86,9 +88,9 @@ struct CampaignConfig
 
     /**
      * Stop launching new shards when a shard fails at *host* level
-     * (HostCrash/HostTimeout/ResourceExhausted — produced by supervised
-     * campaigns only; see src/campaign/supervisor.hh). Default off: a
-     * resilient campaign triages host faults and keeps going.
+     * (HostCrash/HostTimeout/ResourceExhausted; see
+     * src/campaign/supervisor.hh). Default off: a resilient campaign
+     * triages host faults and keeps going.
      */
     bool stopOnHostFailure = false;
 
@@ -104,6 +106,48 @@ struct CampaignConfig
 
     /** Retain every shard's outcome in CampaignResult::outcomes. */
     bool keepOutcomes = false;
+
+    // Supervision of each shard (supervisor.hh).
+
+    /** Run each attempt in a forked child (POSIX; falls back to the
+     *  in-process barrier elsewhere). */
+    bool forkIsolation = false;
+
+    /** Per-shard wall-clock deadline in seconds; <= 0 disables. */
+    double shardTimeoutSeconds = 0.0;
+
+    /** Per-shard simulation event budget; 0 disables. Applied through
+     *  ShardSpec::gpuPreset (shards without provenance are unaffected). */
+    std::uint64_t shardEventBudget = 0;
+
+    /** Retries after a transient (ResourceExhausted) failure. */
+    unsigned maxRetries = 2;
+
+    /** Backoff before retry N is retryBackoffMs << (N - 1). */
+    unsigned retryBackoffMs = 10;
+
+    /**
+     * Jitter added to each retry backoff, as a percentage of the base
+     * delay (0 disables). Derived deterministically from the shard's
+     * seed and the attempt number — same shard, same delays — so the
+     * retry storm of a fleet of workers de-synchronizes without
+     * introducing real randomness into a reproducible campaign.
+     */
+    unsigned retryJitterPct = 50;
+
+    /** Append-only JSONL journal path; empty disables checkpointing. */
+    std::string journalPath;
+
+    /** Load journalPath first and skip completed shards. */
+    bool resume = false;
+
+    /** Directory for repro traces of failing shards; empty disables. */
+    std::string reproDir;
+
+    /** Install SIGINT/SIGTERM handlers for graceful shutdown (restored
+     *  on return). Off by default: embedding processes own their
+     *  signal dispositions unless they opt in. */
+    bool handleSignals = false;
 };
 
 /** Reproduction handle for the first failing shard. */
@@ -149,8 +193,7 @@ struct CampaignResult
     std::size_t shardsSkipped = 0; ///< not launched due to early stop
     unsigned jobs = 0;             ///< worker threads actually used
 
-    // Host-level triage, populated by supervised campaigns (see
-    // src/campaign/supervisor.hh); all zero under plain runCampaign.
+    // Host-level triage (see src/campaign/supervisor.hh).
     std::size_t hostCrashes = 0;       ///< shards ending HostCrash
     std::size_t hostTimeouts = 0;      ///< shards reaped (deadline/budget)
     std::size_t resourceExhausted = 0; ///< shards that never got past
@@ -196,12 +239,12 @@ struct CampaignResult
 
 /**
  * Thread-safe cross-shard merge: the one place campaign aggregates are
- * built. runCampaign and the supervisor (supervisor.cc) both funnel
- * every completed ShardOutcome through add(), so stat sums, union
- * coverage, the saturation curve, first-failure bookkeeping, host
- * triage counters, and the early-stop policy have exactly one
- * implementation — which is what makes a resumed campaign's aggregates
- * bit-identical to an uninterrupted run's.
+ * built. runCampaign funnels every completed or journal-resumed
+ * ShardOutcome through add(), so stat sums, union coverage, the
+ * saturation curve, first-failure bookkeeping, host triage counters,
+ * and the early-stop policy have exactly one implementation — which is
+ * what makes a resumed campaign's aggregates bit-identical to an
+ * uninterrupted run's.
  */
 class ShardMerge
 {
@@ -247,7 +290,11 @@ class ShardMerge
     std::atomic<bool> _stop{false};
 };
 
-/** Run @p shards under @p cfg; blocks until done or early-stopped. */
+/**
+ * Run @p shards under @p cfg, each one supervised (supervisor.hh).
+ * Blocks until every shard completed, was skipped by an early stop, or
+ * the campaign was interrupted. Defined in supervisor.cc.
+ */
 CampaignResult runCampaign(std::vector<ShardSpec> shards,
                            const CampaignConfig &cfg = {});
 

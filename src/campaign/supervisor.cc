@@ -191,7 +191,7 @@ sanitizeFileName(const std::string &name)
  * supervisor itself.
  */
 void
-captureRepro(const SupervisorConfig &cfg, const ShardSpec &spec,
+captureRepro(const CampaignConfig &cfg, const ShardSpec &spec,
              const ShardOutcome &out)
 {
     if (cfg.reproDir.empty() || out.result.passed || !spec.gpuPreset)
@@ -259,7 +259,7 @@ captureRepro(const SupervisorConfig &cfg, const ShardSpec &spec,
  */
 struct ShardRunner::Impl
 {
-    const SupervisorConfig cfg;
+    const CampaignConfig cfg;
     std::function<bool()> stopCheck;
 
     std::mutex watchMutex;
@@ -268,7 +268,7 @@ struct ShardRunner::Impl
     std::atomic<bool> shutdown{false};
     std::thread watchdog;
 
-    explicit Impl(const SupervisorConfig &c) : cfg(c)
+    explicit Impl(const CampaignConfig &c) : cfg(c)
     {
         if (cfg.shardTimeoutSeconds > 0.0)
             watchdog = std::thread([this] { watchdogLoop(); });
@@ -551,7 +551,7 @@ struct ShardRunner::Impl
     }
 };
 
-ShardRunner::ShardRunner(const SupervisorConfig &cfg)
+ShardRunner::ShardRunner(const CampaignConfig &cfg)
     : _impl(std::make_unique<Impl>(cfg))
 {
     // Fleet transports and journal writes may hit closed pipes; a
@@ -582,10 +582,9 @@ currentShardAttempt()
 }
 
 CampaignResult
-runSupervisedCampaign(std::vector<ShardSpec> shards,
-                      const SupervisorConfig &cfg)
+runCampaign(std::vector<ShardSpec> shards, const CampaignConfig &cfg)
 {
-    ShardMerge merge(cfg.campaign, shards.size());
+    ShardMerge merge(cfg, shards.size());
 
     // Resume: adopt journaled outcomes for shards whose identity
     // matches. Host-level outcomes are *not* adopted — they describe
@@ -610,9 +609,7 @@ runSupervisedCampaign(std::vector<ShardSpec> shards,
         }
     }
 
-    unsigned jobs =
-        cfg.campaign.jobs != 0 ? cfg.campaign.jobs
-                               : ThreadPool::defaultThreads();
+    unsigned jobs = cfg.jobs != 0 ? cfg.jobs : ThreadPool::defaultThreads();
     if (!shards.empty())
         jobs = std::min<unsigned>(
             jobs, static_cast<unsigned>(shards.size()));

@@ -3,10 +3,11 @@
  * Resilient campaign supervision: shard isolation, hang/crash triage,
  * bounded retry, and checkpoint/resume.
  *
- * runCampaign (campaign.hh) assumes every shard is a well-behaved
- * function. The supervisor drops that assumption and makes each shard a
+ * runCampaign (campaign.hh) does not assume that a shard is a
+ * well-behaved function. The supervisor makes each shard a
  * fault-contained unit, so a campaign left running unattended for hours
- * survives anything a single shard does to its host:
+ * survives anything a single shard does to its host. Every policy below
+ * is a CampaignConfig field:
  *
  *  - Isolation. Every attempt runs under an exception barrier that
  *    turns an uncaught throw into FailureClass::HostCrash and
@@ -65,12 +66,10 @@
 #ifndef DRF_CAMPAIGN_SUPERVISOR_HH
 #define DRF_CAMPAIGN_SUPERVISOR_HH
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "campaign/campaign.hh"
 
@@ -92,79 +91,33 @@ class ResourceExhaustedError : public std::runtime_error
 };
 
 /**
- * 1-based attempt number of the supervised shard invocation running on
- * the calling thread (1 outside a supervised shard, and always 1 under
- * plain runCampaign). Deterministic across isolation modes: the
+ * 1-based attempt number of the shard invocation running on the calling
+ * thread (1 outside a shard). Deterministic across isolation modes: the
  * supervisor sets it before invoking the shard, and fork() clones the
  * calling thread, so a shard child observes the same value. The
  * host-fault injector keys its transient faults on it.
  */
 unsigned currentShardAttempt();
 
-/** Supervision policy on top of a CampaignConfig. */
-struct SupervisorConfig
-{
-    CampaignConfig campaign;
-
-    /** Run each attempt in a forked child (POSIX; falls back to the
-     *  in-process barrier elsewhere). */
-    bool forkIsolation = false;
-
-    /** Per-shard wall-clock deadline in seconds; <= 0 disables. */
-    double shardTimeoutSeconds = 0.0;
-
-    /** Per-shard simulation event budget; 0 disables. Applied through
-     *  ShardSpec::gpuPreset (shards without provenance are unaffected). */
-    std::uint64_t shardEventBudget = 0;
-
-    /** Retries after a transient (ResourceExhausted) failure. */
-    unsigned maxRetries = 2;
-
-    /** Backoff before retry N is retryBackoffMs << (N - 1). */
-    unsigned retryBackoffMs = 10;
-
-    /**
-     * Jitter added to each retry backoff, as a percentage of the base
-     * delay (0 disables). Derived deterministically from the shard's
-     * seed and the attempt number — same shard, same delays — so the
-     * retry storm of a fleet of workers de-synchronizes without
-     * introducing real randomness into a reproducible campaign.
-     */
-    unsigned retryJitterPct = 50;
-
-    /** Append-only JSONL journal path; empty disables checkpointing. */
-    std::string journalPath;
-
-    /** Load journalPath first and skip completed shards. */
-    bool resume = false;
-
-    /** Directory for repro traces of failing shards; empty disables. */
-    std::string reproDir;
-
-    /** Install SIGINT/SIGTERM handlers for graceful shutdown (restored
-     *  on return). Off by default: embedding processes own their
-     *  signal dispositions unless they opt in. */
-    bool handleSignals = false;
-};
-
 /**
  * Per-shard supervised execution engine: isolation (fork or in-process
  * barrier), wall-clock reaping via its own watchdog thread, the event
  * budget, bounded transient retry, and repro capture — everything the
  * supervisor does to *one* shard, reusable outside a whole-campaign
- * run. runSupervisedCampaign drives one instance from its thread pool;
- * a fleet worker (src/fleet) drives one per process so each leased
- * shard gets the same fault containment as a local campaign shard.
+ * run. runCampaign drives one instance from its thread pool; a fleet
+ * worker (src/fleet) drives one per process so each leased shard gets
+ * the same fault containment as a local campaign shard.
  *
  * Thread-safe: run() may be called concurrently from many threads.
- * Campaign-level policy (journal, resume, signals, merge, early stop)
- * stays with the caller; setStopCheck lets the caller's early-stop
+ * It reads only the supervision fields of its CampaignConfig;
+ * campaign-level policy (journal, resume, signals, merge, early stop)
+ * stays with the caller, and setStopCheck lets the caller's early-stop
  * state suppress retries that no longer matter.
  */
 class ShardRunner
 {
   public:
-    explicit ShardRunner(const SupervisorConfig &cfg);
+    explicit ShardRunner(const CampaignConfig &cfg);
     ~ShardRunner();
 
     ShardRunner(const ShardRunner &) = delete;
@@ -187,13 +140,6 @@ class ShardRunner
     struct Impl;
     std::unique_ptr<Impl> _impl;
 };
-
-/**
- * Run @p shards under supervision. Blocks until every shard completed,
- * was skipped by an early stop, or the campaign was interrupted.
- */
-CampaignResult runSupervisedCampaign(std::vector<ShardSpec> shards,
-                                     const SupervisorConfig &cfg);
 
 } // namespace drf
 

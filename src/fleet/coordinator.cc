@@ -25,7 +25,6 @@
 
 #include "campaign/campaign_json.hh"
 #include "campaign/journal.hh"
-#include "campaign/merge_stream.hh"
 #include "campaign/posix_io.hh"
 #include "chaos/chaos.hh"
 #include "chaos/disk_chaos.hh"
@@ -46,25 +45,6 @@ secondsSince(Clock::time_point start)
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/** Deep-copy an outcome (grids included) for the streaming merge. */
-ShardOutcome
-cloneOutcome(const ShardOutcome &src)
-{
-    ShardOutcome out;
-    out.name = src.name;
-    out.seed = src.seed;
-    out.index = src.index;
-    out.result = src.result;
-    out.attempts = src.attempts;
-    if (src.l1)
-        out.l1 = std::make_unique<CoverageGrid>(*src.l1);
-    if (src.l2)
-        out.l2 = std::make_unique<CoverageGrid>(*src.l2);
-    if (src.dir)
-        out.dir = std::make_unique<CoverageGrid>(*src.dir);
-    return out;
-}
-
 /**
  * Comparison key for cross-worker result equality: the record with its
  * host-side nondeterminism (wall time, transient-retry count) zeroed.
@@ -73,12 +53,15 @@ cloneOutcome(const ShardOutcome &src)
  * a worker that computed (or reported) a different *outcome* diverges.
  */
 std::string
-canonicalResultKey(const ShardOutcome &src)
+canonicalResultKey(ShardOutcome &out)
 {
-    ShardOutcome c = cloneOutcome(src);
-    c.attempts = 1;
-    c.result.hostSeconds = 0.0;
-    return shardOutcomeToJson(c);
+    // Zeroed in place and restored, so the grids are never copied.
+    unsigned attempts = std::exchange(out.attempts, 1u);
+    double host_seconds = std::exchange(out.result.hostSeconds, 0.0);
+    std::string key = shardOutcomeToJson(out);
+    out.attempts = attempts;
+    out.result.hostSeconds = host_seconds;
+    return key;
 }
 
 enum class DigestCheck
@@ -199,7 +182,6 @@ struct FleetCoordinator::Impl
      *  duplicates) must not reopen a batch being drained/journaled. */
     bool batchSealed = false;
 
-    std::unique_ptr<StreamingShardMerge> merge;
     std::unique_ptr<ShardRunner> localRunner;
 
     FleetResult stats;
@@ -210,10 +192,10 @@ struct FleetCoordinator::Impl
         io::ignoreSigpipe();
     }
 
-    SupervisorConfig
+    CampaignConfig
     runnerConfig() const
     {
-        SupervisorConfig rc;
+        CampaignConfig rc;
         rc.forkIsolation = cfg.forkIsolation;
         rc.shardTimeoutSeconds = cfg.shardTimeoutSeconds;
         rc.shardEventBudget = cfg.shardEventBudget;
@@ -405,7 +387,7 @@ struct FleetCoordinator::Impl
     /**
      * Work stealing, proactive half: an idle worker duplicates the
      * oldest lease still outstanding on exactly one other worker. The
-     * first result for the index wins; the merge drops the loser.
+     * first result for the index wins; the loser is dropped.
      */
     void
     stealForLocked(Worker &worker)
@@ -672,8 +654,8 @@ struct FleetCoordinator::Impl
                 // same deterministic shard: one of them lied without
                 // tripping CRC or digest. Neither copy can be trusted
                 // — quarantine the index and queue the authoritative
-                // local tiebreak (which re-offers into the merge,
-                // last-wins, before the batch drains).
+                // local tiebreak (drainRepairs), which lands before
+                // the batch barrier releases.
                 ++stats.quorumDivergences;
                 stats.divergedIndices.push_back(index);
                 ShardLease repair = existing->second.hasLease
@@ -692,7 +674,6 @@ struct FleetCoordinator::Impl
             ++stats.duplicateResults;
             return;
         }
-        merge->offer(cloneOutcome(out), /*resumed=*/false);
         std::string key = canonicalResultKey(out);
         batchResults.emplace(index,
                              Arrived{std::move(out), line,
@@ -704,10 +685,9 @@ struct FleetCoordinator::Impl
     adoptResumedLocked(ShardOutcome &&out)
     {
         std::size_t index = out.index;
-        merge->offer(cloneOutcome(out), /*resumed=*/true);
         batchResults.emplace(index, Arrived{std::move(out),
-                                            std::string(),
-                                            std::string(), true});
+                                            std::string(), std::string(),
+                                            true, ShardLease{}, false});
         ++stats.shardsResumed;
     }
 
@@ -740,10 +720,9 @@ struct FleetCoordinator::Impl
     /**
      * Settle diverged shards: re-run each quarantined lease here,
      * through the deterministic local ShardRunner, and install that
-     * answer as authoritative. The merge still holds the first
-     * (untrusted) copy buffered; offering again before drainSorted
-     * replaces it (buffered-duplicate-last-wins), so the corrupt
-     * result never reaches the aggregates.
+     * answer as authoritative. The untrusted copies were dropped from
+     * batchResults when the divergence was caught, so the corrupt
+     * result never reaches the feedback loop or the journal.
      */
     bool
     drainRepairs()
@@ -769,7 +748,6 @@ struct FleetCoordinator::Impl
                 ++stats.localRuns;
                 std::size_t index = lease.index;
                 poisoned.erase(index);
-                merge->offer(cloneOutcome(out), /*resumed=*/false);
                 std::string key = canonicalResultKey(out);
                 batchResults[index] = Arrived{
                     std::move(out), std::move(line), std::move(key),
@@ -879,16 +857,6 @@ FleetCoordinator::run()
 {
     Impl &im = *_impl;
     const CoordinatorConfig &cfg = im.cfg;
-
-    // The merge's campaign policy: stop decisions belong to the
-    // adaptive loop, so the merge itself never requests a stop.
-    CampaignConfig merge_cfg;
-    merge_cfg.jobs = std::max(1u, cfg.expectedWorkers);
-    merge_cfg.stopOnFailure = false;
-    merge_cfg.stopOnHostFailure = false;
-    merge_cfg.coverageTestType = cfg.campaign.coverageTestType;
-    im.merge = std::make_unique<StreamingShardMerge>(merge_cfg, 0);
-    im.merge->setJobs(std::max(1u, cfg.expectedWorkers));
 
     // Resume pass: adoptable records, keyed by global shard index.
     // Damaged records (CRC failure, torn tail) are self-healed by
@@ -1041,9 +1009,8 @@ FleetCoordinator::run()
             }
         }
 
-        // Merge + journal + feedback, strictly in index order.
+        // Journal + feedback, strictly in index order.
         double wall = secondsSince(start);
-        im.merge->drainSorted(wall);
         {
             std::lock_guard<std::mutex> lock(im.mutex);
             for (std::size_t index : im.batchIndices) {
@@ -1065,8 +1032,6 @@ FleetCoordinator::run()
 
     im.stats.halted = !source_drained && cfg.maxRounds != 0 &&
                       rounds >= cfg.maxRounds && !loop.stopRequested();
-    if (im.stats.halted)
-        im.merge->markInterrupted();
 
     im.stopFleet();
     journal.flush(/*sync=*/true);
@@ -1078,7 +1043,6 @@ FleetCoordinator::run()
                         : std::max(1u, im.stats.workersSeen);
     FleetResult result = std::move(im.stats);
     result.adaptive = loop.take(wall, jobs);
-    result.campaign = im.merge->take(wall);
     return result;
 }
 

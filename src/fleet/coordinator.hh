@@ -11,30 +11,29 @@
  * function of (genome, scale, seed).
  *
  * Scheduling is batch-synchronous: one source batch is leased out,
- * executed fleet-wide, and fully merged (results drained in global
+ * executed fleet-wide, and fully drained (results taken in global
  * shard-index order) before the source sees any feedback or issues the
- * next batch. Results stream in over sockets in arbitrary order and
- * land in a StreamingShardMerge immediately (incremental merge); the
- * index-ordered drain at the batch barrier is what makes the guided
- * scheduler's decision sequence — and every aggregate — a pure
- * function of the master seed, whatever the worker count, arrival
- * order, steal history, or resume state.
+ * next batch. Results stream in over sockets in arbitrary order and are
+ * held per batch, keyed by global shard index; the index-ordered drain
+ * into the journal and the FeedbackLoop at the batch barrier is what
+ * makes the guided scheduler's decision sequence — and every aggregate
+ * — a pure function of the master seed, whatever the worker count,
+ * arrival order, steal history, or resume state.
  *
  * Resilience: workers heartbeat; a worker that disconnects, dies, or
  * goes silent past the heartbeat timeout has its outstanding leases
  * returned to the pending queue and re-leased (work stealing's
  * recovery half). An idle worker may request work (Steal frame) and be
  * handed a duplicate of the oldest lease still outstanding elsewhere
- * (the proactive half); the first result for an index wins and
- * duplicates are dropped by the merge. With localFallback the
- * coordinator executes stranded leases itself through the same
- * ShardRunner a worker would use, so a campaign always completes even
- * if every worker dies.
+ * (the proactive half); the first result for an index wins and later
+ * duplicates are dropped. With localFallback the coordinator executes
+ * stranded leases itself through the same ShardRunner a worker would
+ * use, so a campaign always completes even if every worker dies.
  *
  * expectedWorkers == 0 is the degenerate fleet: no socket is opened
  * and every lease runs locally, in index order, through the identical
- * lease → spec → ShardRunner → journal-line → merge path. That run is
- * the bit-identity golden the distributed tests compare against.
+ * lease → spec → ShardRunner → journal-line → feedback path. That run
+ * is the bit-identity golden the distributed tests compare against.
  */
 
 #ifndef DRF_FLEET_COORDINATOR_HH
@@ -123,8 +122,6 @@ struct CoordinatorConfig
 struct FleetResult
 {
     AdaptiveCampaignResult adaptive;
-    /** The StreamingShardMerge's view (throughput, triage, unions). */
-    CampaignResult campaign;
 
     unsigned workersSeen = 0;       ///< connections accepted
     std::uint64_t leasesIssued = 0; ///< Lease frames sent

@@ -150,7 +150,7 @@ runSession(int fd, const WorkerConfig &cfg, chaos::WireChaos *wc,
     if (welcome.protocolVersion != kProtocolVersion)
         return SessionEnd::VersionReject;
 
-    SupervisorConfig runner_cfg;
+    CampaignConfig runner_cfg;
     runner_cfg.forkIsolation = welcome.forkIsolation;
     runner_cfg.shardTimeoutSeconds = welcome.shardTimeoutSeconds;
     runner_cfg.shardEventBudget = welcome.shardEventBudget;

@@ -5,8 +5,8 @@
  * A worker is deliberately thin. All campaign policy lives on the
  * coordinator and arrives in the Welcome frame; the worker's only job
  * is to turn leases into journal-format result lines using the same
- * ShardRunner a local supervised campaign uses, so a shard fails,
- * retries, and times out identically wherever it runs.
+ * ShardRunner a local campaign uses, so a shard fails, retries, and
+ * times out identically wherever it runs.
  *
  * Protocol from the worker's side:
  *   connect → Hello → Welcome → { Lease* → Result* | Steal |

@@ -4,24 +4,22 @@
  *
  * Components log through DLOG(queue, "FlagName", "message " << value).
  * Flags are enabled per-process via Logger::enable("FlagName") or the
- * DRF_DEBUG_FLAGS environment variable (comma separated). Logging compiles
- * to a cheap flag check when disabled.
+ * DRF_DEBUG_FLAGS environment variable (comma separated). A record whose
+ * flag is disabled is dropped. Callers guard expensive messages with
+ * enabled(), so tracing costs a flag check when it is off.
  *
- * The tester also uses the logger's ring buffer to reconstruct the recent
- * transaction history around a detected failure (Section III.D of the
- * paper): the last N formatted records are always retained, even when no
- * flag is enabled, and dumped on demand.
+ * The logger keeps no history. The Table V failure report (Section III.D
+ * of the paper) is built by the tester from RefMemory's last-reader and
+ * last-writer records and its own recent-transaction ring.
  */
 
 #ifndef DRF_SIM_LOGGER_HH
 #define DRF_SIM_LOGGER_HH
 
-#include <deque>
 #include <mutex>
 #include <sstream>
 #include <string>
 #include <unordered_set>
-#include <vector>
 
 #include "sim/types.hh"
 
@@ -33,8 +31,8 @@ namespace drf
  * global --debug-flags behaviour.
  *
  * All methods are thread-safe: campaign shards (see src/campaign/) run
- * one simulation per thread but share this sink, so flag lookups and the
- * retained-history ring are guarded by an internal mutex.
+ * one simulation per thread but share this sink, so flag lookups and
+ * printing are guarded by an internal mutex.
  */
 class Logger
 {
@@ -55,7 +53,7 @@ class Logger
     bool enabled(const std::string &flag) const;
 
     /**
-     * Record (and maybe print) one message.
+     * Print one message to stdout if @p flag is enabled.
      *
      * @param tick Simulated time of the record.
      * @param flag Trace flag category.
@@ -65,26 +63,12 @@ class Logger
     void record(Tick tick, const std::string &flag, const std::string &who,
                 const std::string &msg);
 
-    /** Retained recent records, oldest first. */
-    std::vector<std::string> history() const;
-
-    /** Dump retained history to stderr (used on failure). */
-    void dumpHistory() const;
-
-    /** Resize the retained-history ring buffer (0 disables retention). */
-    void setHistoryDepth(std::size_t depth);
-
-    /** Drop retained history (e.g., between test cases). */
-    void clearHistory();
-
   private:
     Logger();
 
     mutable std::mutex _mutex;
     std::unordered_set<std::string> _flags;
     bool _allEnabled = false;
-    std::deque<std::string> _history;
-    std::size_t _historyDepth = 256;
 };
 
 } // namespace drf

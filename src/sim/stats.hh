@@ -1,19 +1,16 @@
 /**
  * @file
- * Minimal statistics package: named counters, distributions, and a
- * formatter. Modelled after gem5's Stats but only what the experiments
- * need.
+ * Minimal statistics package: named counters and a formatter. Modelled
+ * after gem5's Stats but only what the experiments need.
  */
 
 #ifndef DRF_SIM_STATS_HH
 #define DRF_SIM_STATS_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <ostream>
 #include <string>
-#include <vector>
 
 namespace drf
 {
@@ -32,66 +29,6 @@ class Counter
   private:
     std::string _name;
     std::uint64_t _value = 0;
-};
-
-/**
- * A sampled distribution with mean/min/max and a handful of quantiles.
- * Keeps all samples; the workloads here are small enough that this is the
- * simplest correct choice.
- */
-class Distribution
-{
-  public:
-    explicit Distribution(std::string name) : _name(std::move(name)) {}
-
-    void sample(double v) { _samples.push_back(v); }
-
-    std::size_t count() const { return _samples.size(); }
-
-    double
-    mean() const
-    {
-        if (_samples.empty())
-            return 0.0;
-        double sum = 0.0;
-        for (double v : _samples)
-            sum += v;
-        return sum / static_cast<double>(_samples.size());
-    }
-
-    double
-    min() const
-    {
-        return _samples.empty()
-            ? 0.0 : *std::min_element(_samples.begin(), _samples.end());
-    }
-
-    double
-    max() const
-    {
-        return _samples.empty()
-            ? 0.0 : *std::max_element(_samples.begin(), _samples.end());
-    }
-
-    /** q in [0,1]; nearest-rank quantile. */
-    double
-    quantile(double q) const
-    {
-        if (_samples.empty())
-            return 0.0;
-        std::vector<double> sorted(_samples);
-        std::sort(sorted.begin(), sorted.end());
-        std::size_t idx = static_cast<std::size_t>(
-            q * static_cast<double>(sorted.size() - 1) + 0.5);
-        return sorted[std::min(idx, sorted.size() - 1)];
-    }
-
-    const std::string &name() const { return _name; }
-    void reset() { _samples.clear(); }
-
-  private:
-    std::string _name;
-    std::vector<double> _samples;
 };
 
 /**

@@ -166,7 +166,8 @@ TEST(Campaign, StopOnFailureDisabledRunsEverything)
 TEST(Campaign, ThrowingShardBecomesStructuredFailureNotCrash)
 {
     // A shard that lets an exception escape must not take down the
-    // process (or sibling shards) — it becomes a failed outcome.
+    // process (or sibling shards) — the supervisor triages it as a
+    // host-level crash.
     std::vector<ShardSpec> shards;
     shards.push_back(syntheticShard("ok", 1, 10, true));
     ShardSpec thrower;
@@ -186,6 +187,8 @@ TEST(Campaign, ThrowingShardBecomesStructuredFailureNotCrash)
     ASSERT_TRUE(res.firstFailure.has_value());
     EXPECT_EQ(res.firstFailure->name, "thrower");
     EXPECT_EQ(res.firstFailure->seed, 13u);
+    EXPECT_EQ(res.firstFailure->failureClass, FailureClass::HostCrash);
+    EXPECT_EQ(res.hostCrashes, 1u);
     EXPECT_NE(res.firstFailure->report.find("deliberate"),
               std::string::npos);
 }

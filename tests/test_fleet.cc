@@ -1,8 +1,8 @@
 /**
  * @file
  * Fleet tests: wire framing, protocol payload round trips (including
- * bit-exact double transport), StreamingShardMerge arrival-order
- * invariance, and end-to-end coordinator/worker campaigns — the
+ * bit-exact double transport), journal replay (torn tails, sealed and
+ * bare records), and end-to-end coordinator/worker campaigns — the
  * distributed aggregates must be byte-identical to the workers=0
  * degenerate fleet, with workers killed mid-campaign, with proactive
  * steals, and across a halt + resume.
@@ -15,11 +15,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -32,7 +30,6 @@
 #endif
 
 #include "campaign/journal.hh"
-#include "campaign/merge_stream.hh"
 #include "fleet/fleet.hh"
 #include "fleet/protocol.hh"
 #include "fleet/wire.hh"
@@ -319,79 +316,10 @@ TEST(FleetProtocol, ParseRejectsMalformedPayloads)
 }
 
 // ---------------------------------------------------------------------
-// StreamingShardMerge: arrival order must not matter.
+// Journal replay: what a resume feeds the merge.
 // ---------------------------------------------------------------------
 
-TEST(StreamingMerge, ShuffledArrivalMatchesSortedMerge)
-{
-    constexpr std::size_t kShards = 9;
-    constexpr double kWall = 3.5;
-    CampaignConfig cfg;
-    cfg.stopOnFailure = false;
-
-    // Reference: plain ShardMerge fed in index order.
-    ShardMerge reference(cfg, kShards);
-    for (std::size_t i = 0; i < kShards; ++i)
-        reference.add(syntheticOutcome(i, 100 + i, /*passed=*/i != 4,
-                                       /*with_grid=*/true),
-                      kWall);
-    CampaignResult want = reference.take(kWall);
-
-    // Candidate: shuffled arrival + duplicate deliveries.
-    std::vector<std::size_t> order(kShards);
-    for (std::size_t i = 0; i < kShards; ++i)
-        order[i] = i;
-    std::mt19937 rng(12345);
-    std::shuffle(order.begin(), order.end(), rng);
-
-    StreamingShardMerge streaming(cfg, kShards);
-    for (std::size_t index : order) {
-        EXPECT_TRUE(streaming.offer(
-            syntheticOutcome(index, 100 + index, index != 4, true)));
-        // A stolen lease's second result: byte-identical duplicate.
-        if (index % 3 == 0) {
-            EXPECT_FALSE(streaming.offer(
-                syntheticOutcome(index, 100 + index, index != 4, true)));
-        }
-    }
-    EXPECT_EQ(kShards, streaming.drainSorted(kWall));
-    CampaignResult got = streaming.take(kWall);
-
-    expectEquivalent(want, got);
-}
-
-TEST(StreamingMerge, BufferedDuplicateLastRecordWins)
-{
-    CampaignConfig cfg;
-    cfg.stopOnFailure = false;
-    StreamingShardMerge streaming(cfg, 1);
-    EXPECT_TRUE(streaming.offer(syntheticOutcome(0, 10)));
-    // Journal-replay semantics: a later record for the same index
-    // (e.g. a re-run after a host-level outcome) supersedes.
-    EXPECT_FALSE(streaming.offer(syntheticOutcome(0, 99)));
-    EXPECT_EQ(1u, streaming.drainSorted(0.0));
-    CampaignResult res = streaming.take(0.0);
-    EXPECT_EQ(99u, res.totalEvents);
-    EXPECT_EQ(1u, res.shardsRun);
-}
-
-TEST(StreamingMerge, DrainedDuplicateIsDropped)
-{
-    CampaignConfig cfg;
-    cfg.stopOnFailure = false;
-    StreamingShardMerge streaming(cfg, 1);
-    EXPECT_TRUE(streaming.offer(syntheticOutcome(0, 10)));
-    EXPECT_EQ(1u, streaming.drainSorted(0.0));
-    // The straggler's copy lands after the drain: dropped, not merged.
-    EXPECT_FALSE(streaming.offer(syntheticOutcome(0, 99)));
-    EXPECT_EQ(0u, streaming.pending());
-    EXPECT_EQ(0u, streaming.drainSorted(0.0));
-    CampaignResult res = streaming.take(0.0);
-    EXPECT_EQ(10u, res.totalEvents);
-    EXPECT_EQ(1u, res.shardsRun);
-}
-
-TEST(StreamingMerge, JournalReplayWithTornTailMatchesSortedMerge)
+TEST(Journal, JournalReplayWithTornTailMatchesSortedMerge)
 {
     constexpr std::size_t kShards = 5;
     constexpr double kWall = 1.0;
@@ -417,20 +345,21 @@ TEST(StreamingMerge, JournalReplayWithTornTailMatchesSortedMerge)
         out << torn.substr(0, torn.size() / 2); // crash mid-append
     }
 
+    // loadJournal keeps the last whole record per index, sorted.
     std::vector<ShardOutcome> records;
     ASSERT_TRUE(loadJournal(path, records));
-    StreamingShardMerge streaming(cfg, kShards);
+    ASSERT_EQ(kShards, records.size());
+    ShardMerge replay(cfg, kShards);
     for (ShardOutcome &rec : records)
-        streaming.offer(std::move(rec), /*resumed=*/true);
-    EXPECT_EQ(kShards, streaming.drainSorted(kWall));
-    CampaignResult got = streaming.take(kWall);
+        replay.add(std::move(rec), kWall, /*resumed=*/true);
+    CampaignResult got = replay.take(kWall);
 
     expectEquivalent(want, got);
     EXPECT_EQ(kShards, got.shardsResumed);
     std::remove(path.c_str());
 }
 
-TEST(StreamingMerge, MultiRecordPartialTailSkipsOnlyTheGarbage)
+TEST(Journal, MultiRecordPartialTailSkipsOnlyTheGarbage)
 {
     // A crash can leave more than one damaged line: a torn record,
     // then bytes of a *second* record appended by a dying writer that
@@ -463,7 +392,7 @@ TEST(StreamingMerge, MultiRecordPartialTailSkipsOnlyTheGarbage)
     std::remove(path.c_str());
 }
 
-TEST(StreamingMerge, EmbeddedNewlinePayloadStaysOneJournalLine)
+TEST(Journal, EmbeddedNewlinePayloadStaysOneJournalLine)
 {
     // Shard names / reports may contain newlines; the JSON escaper
     // must keep each record a single JSONL line or a resume would
@@ -492,7 +421,7 @@ TEST(StreamingMerge, EmbeddedNewlinePayloadStaysOneJournalLine)
     std::remove(path.c_str());
 }
 
-TEST(StreamingMerge, SealedAndBareRecordsCoexistOnResume)
+TEST(Journal, SealedAndBareRecordsCoexistOnResume)
 {
     // Journals written before the CRC envelope (or by a writer with
     // crcRecords off) must stay loadable next to sealed records.

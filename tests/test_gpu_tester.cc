@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/logger.hh"
 #include "tester/configs.hh"
 #include "tester/gpu_tester.hh"
 
@@ -176,7 +175,6 @@ TEST(GpuTester, CoverageAccumulates)
 
 TEST(GpuTester, FailureReportIncludesHistory)
 {
-    Logger::get().setHistoryDepth(64);
     TesterResult r = runOnce(CacheSizeClass::Small, 8,
                              FaultKind::LostWriteThrough, 100,
                              /*episodes=*/20);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the resilient campaign supervisor: exception barrier,
+ * Tests for runCampaign's shard supervision: exception barrier,
  * transient retry, hang reaping, event budgets, journal round trips,
  * checkpoint/resume bit-identity, graceful SIGTERM shutdown, and repro
  * capture. Fork-isolation coverage (real SIGSEGV, SIGKILL reaping)
@@ -79,13 +79,26 @@ tempPath(const std::string &name)
     return ::testing::TempDir() + "drf_supervisor_" + name;
 }
 
-SupervisorConfig
+CampaignConfig
 baseConfig(unsigned jobs = 1)
 {
-    SupervisorConfig cfg;
-    cfg.campaign.jobs = jobs;
-    cfg.campaign.stopOnFailure = false;
+    CampaignConfig cfg;
+    cfg.jobs = jobs;
+    cfg.stopOnFailure = false;
     return cfg;
+}
+
+/** Passing synthetic shards "s0".."s<count-1>" with seeds 100 + i. */
+std::vector<ShardSpec>
+syntheticShards(std::size_t count)
+{
+    std::vector<ShardSpec> shards;
+    for (std::size_t i = 0; i < count; ++i) {
+        std::string name = "s";
+        name += std::to_string(i);
+        shards.push_back(syntheticShard(name, 100 + i));
+    }
+    return shards;
 }
 
 } // namespace
@@ -115,24 +128,6 @@ TEST(WatchdogBoundary, OneTickPastThresholdTrips)
 // In-process supervision.
 // ---------------------------------------------------------------------
 
-TEST(Supervisor, PlainCampaignMatchesRunCampaign)
-{
-    std::vector<ShardSpec> shards = gpuSeedSweep(tinyPreset(1), 1, 4);
-    CampaignResult plain = runCampaign(
-        gpuSeedSweep(tinyPreset(1), 1, 4), baseConfig(2).campaign);
-    CampaignResult supervised =
-        runSupervisedCampaign(std::move(shards), baseConfig(2));
-
-    EXPECT_TRUE(supervised.passed);
-    EXPECT_EQ(supervised.shardsRun, 4u);
-    EXPECT_EQ(supervised.totalTicks, plain.totalTicks);
-    EXPECT_EQ(supervised.totalEvents, plain.totalEvents);
-    EXPECT_EQ(supervised.totalEpisodes, plain.totalEpisodes);
-    ASSERT_TRUE(supervised.l1Union && plain.l1Union);
-    EXPECT_EQ(supervised.l1Union->activeDigest(),
-              plain.l1Union->activeDigest());
-}
-
 TEST(Supervisor, UncaughtThrowBecomesHostCrashAndCampaignContinues)
 {
     std::vector<ShardSpec> shards;
@@ -144,8 +139,7 @@ TEST(Supervisor, UncaughtThrowBecomesHostCrashAndCampaignContinues)
     shards.push_back(std::move(thrower));
     shards.push_back(syntheticShard("ok-b", 3));
 
-    CampaignResult res =
-        runSupervisedCampaign(std::move(shards), baseConfig(1));
+    CampaignResult res = runCampaign(std::move(shards), baseConfig(1));
     EXPECT_FALSE(res.passed);
     EXPECT_EQ(res.shardsRun, 3u);
     EXPECT_EQ(res.hostCrashes, 1u);
@@ -165,11 +159,10 @@ TEST(Supervisor, TransientShardSucceedsAfterRetries)
     faults.arm(0, HostFaultKind::Transient, /*fail_attempts=*/2);
     faults.armShards(shards);
 
-    SupervisorConfig cfg = baseConfig(1);
+    CampaignConfig cfg = baseConfig(1);
     cfg.maxRetries = 2;
     cfg.retryBackoffMs = 1;
-    CampaignResult res =
-        runSupervisedCampaign(std::move(shards), cfg);
+    CampaignResult res = runCampaign(std::move(shards), cfg);
     EXPECT_TRUE(res.passed);
     EXPECT_EQ(res.shardsRun, 1u);
     EXPECT_EQ(res.resourceExhausted, 0u);
@@ -184,11 +177,10 @@ TEST(Supervisor, TransientShardExhaustsRetries)
     faults.arm(0, HostFaultKind::Transient, /*fail_attempts=*/10);
     faults.armShards(shards);
 
-    SupervisorConfig cfg = baseConfig(1);
+    CampaignConfig cfg = baseConfig(1);
     cfg.maxRetries = 1;
     cfg.retryBackoffMs = 1;
-    CampaignResult res =
-        runSupervisedCampaign(std::move(shards), cfg);
+    CampaignResult res = runCampaign(std::move(shards), cfg);
     EXPECT_FALSE(res.passed);
     EXPECT_EQ(res.resourceExhausted, 1u);
     EXPECT_EQ(res.retriesPerformed, 1u);
@@ -212,10 +204,9 @@ TEST(Supervisor, HangingShardIsReapedAsHostTimeout)
     };
     shards.push_back(std::move(hung));
 
-    SupervisorConfig cfg = baseConfig(1);
+    CampaignConfig cfg = baseConfig(1);
     cfg.shardTimeoutSeconds = 0.3;
-    CampaignResult res =
-        runSupervisedCampaign(std::move(shards), cfg);
+    CampaignResult res = runCampaign(std::move(shards), cfg);
     release->store(true);
 
     EXPECT_FALSE(res.passed);
@@ -236,10 +227,9 @@ TEST(Supervisor, EventBudgetExhaustionIsHostTimeout)
     std::vector<ShardSpec> shards;
     shards.push_back(gpuShard(tinyPreset(1)));
 
-    SupervisorConfig cfg = baseConfig(1);
+    CampaignConfig cfg = baseConfig(1);
     cfg.shardEventBudget = 50;
-    CampaignResult res =
-        runSupervisedCampaign(std::move(shards), cfg);
+    CampaignResult res = runCampaign(std::move(shards), cfg);
     EXPECT_FALSE(res.passed);
     EXPECT_EQ(res.hostTimeouts, 1u);
     ASSERT_TRUE(res.firstFailure.has_value());
@@ -385,7 +375,7 @@ resumeBitIdentityAtJobs(unsigned jobs)
     std::remove(path.c_str());
 
     // Uninterrupted baseline: no journal involved.
-    CampaignResult baseline = runSupervisedCampaign(
+    CampaignResult baseline = runCampaign(
         gpuSeedSweep(tinyPreset(1), 1, seeds), baseConfig(jobs));
     ASSERT_TRUE(baseline.passed);
 
@@ -397,21 +387,20 @@ resumeBitIdentityAtJobs(unsigned jobs)
     HostFaultInjector faults;
     faults.arm(2, HostFaultKind::Transient, /*fail_attempts=*/100);
     faults.armShards(faulted);
-    SupervisorConfig cfg1 = baseConfig(jobs);
+    CampaignConfig cfg1 = baseConfig(jobs);
     cfg1.journalPath = path;
     cfg1.maxRetries = 1;
     cfg1.retryBackoffMs = 1;
-    CampaignResult interrupted =
-        runSupervisedCampaign(std::move(faulted), cfg1);
+    CampaignResult interrupted = runCampaign(std::move(faulted), cfg1);
     EXPECT_FALSE(interrupted.passed);
     EXPECT_EQ(interrupted.resourceExhausted, 1u);
 
     // Run 2: resume with healthy shards. Completed shards come from the
     // journal; the host-failed shard re-runs.
-    SupervisorConfig cfg2 = baseConfig(jobs);
+    CampaignConfig cfg2 = baseConfig(jobs);
     cfg2.journalPath = path;
     cfg2.resume = true;
-    CampaignResult resumed = runSupervisedCampaign(
+    CampaignResult resumed = runCampaign(
         gpuSeedSweep(tinyPreset(1), 1, seeds), cfg2);
 
     EXPECT_TRUE(resumed.passed);
@@ -439,10 +428,7 @@ TEST(Supervisor, SigtermMidCampaignJournalsAndResumes)
     std::string path = tempPath("sigterm.jsonl");
     std::remove(path.c_str());
 
-    std::vector<ShardSpec> shards;
-    for (std::size_t i = 0; i < total; ++i)
-        shards.push_back(
-            syntheticShard("s" + std::to_string(i), 100 + i));
+    std::vector<ShardSpec> shards = syntheticShards(total);
     // Shard 1 delivers SIGTERM mid-campaign, then lingers long enough
     // for the watchdog (20 ms poll) to cancel the queued shards.
     ShardSpec &sig = shards[1];
@@ -452,25 +438,21 @@ TEST(Supervisor, SigtermMidCampaignJournalsAndResumes)
         return inner();
     };
 
-    SupervisorConfig cfg1 = baseConfig(1);
+    CampaignConfig cfg1 = baseConfig(1);
     cfg1.journalPath = path;
     cfg1.handleSignals = true;
-    CampaignResult hit = runSupervisedCampaign(std::move(shards), cfg1);
+    CampaignResult hit = runCampaign(std::move(shards), cfg1);
     EXPECT_TRUE(hit.interrupted);
     EXPECT_GE(hit.shardsSkipped, 1u);
     EXPECT_EQ(hit.shardsRun + hit.shardsSkipped, total);
 
     // Resume completes the skipped shards without re-running the
     // journaled ones.
-    std::vector<ShardSpec> again;
-    for (std::size_t i = 0; i < total; ++i)
-        again.push_back(
-            syntheticShard("s" + std::to_string(i), 100 + i));
-    SupervisorConfig cfg2 = baseConfig(1);
+    std::vector<ShardSpec> again = syntheticShards(total);
+    CampaignConfig cfg2 = baseConfig(1);
     cfg2.journalPath = path;
     cfg2.resume = true;
-    CampaignResult resumed =
-        runSupervisedCampaign(std::move(again), cfg2);
+    CampaignResult resumed = runCampaign(std::move(again), cfg2);
     EXPECT_TRUE(resumed.passed);
     EXPECT_FALSE(resumed.interrupted);
     EXPECT_EQ(resumed.shardsRun, total);
@@ -490,10 +472,9 @@ TEST(Supervisor, ProtocolFailureGetsReproTraceRecorded)
     preset.name = "faulty/seed11";
     shards.push_back(gpuShard(preset));
 
-    SupervisorConfig cfg = baseConfig(1);
+    CampaignConfig cfg = baseConfig(1);
     cfg.reproDir = dir;
-    CampaignResult res =
-        runSupervisedCampaign(std::move(shards), cfg);
+    CampaignResult res = runCampaign(std::move(shards), cfg);
     ASSERT_FALSE(res.passed);
     ASSERT_TRUE(res.firstFailure.has_value());
     EXPECT_FALSE(
@@ -520,10 +501,9 @@ TEST(Supervisor, InProcessHostFailureGetsStubNotRerun)
         throw std::runtime_error("host-side explosion");
     };
 
-    SupervisorConfig cfg = baseConfig(1);
+    CampaignConfig cfg = baseConfig(1);
     cfg.reproDir = dir;
-    CampaignResult res =
-        runSupervisedCampaign(std::move(shards), cfg);
+    CampaignResult res = runCampaign(std::move(shards), cfg);
     ASSERT_FALSE(res.passed);
     EXPECT_EQ(res.hostCrashes, 1u);
 
@@ -554,10 +534,9 @@ TEST(ForkIsolation, CrashingShardBecomesHostCrash)
     faults.arm(1, HostFaultKind::Crash);
     faults.armShards(shards);
 
-    SupervisorConfig cfg = baseConfig(2);
+    CampaignConfig cfg = baseConfig(2);
     cfg.forkIsolation = true;
-    CampaignResult res =
-        runSupervisedCampaign(std::move(shards), cfg);
+    CampaignResult res = runCampaign(std::move(shards), cfg);
     EXPECT_FALSE(res.passed);
     EXPECT_EQ(res.shardsRun, 3u);
     EXPECT_EQ(res.hostCrashes, 1u);
@@ -576,11 +555,10 @@ TEST(ForkIsolation, HangingChildIsKilledAndTriagedAsTimeout)
     faults.arm(0, HostFaultKind::Hang);
     faults.armShards(shards);
 
-    SupervisorConfig cfg = baseConfig(2);
+    CampaignConfig cfg = baseConfig(2);
     cfg.forkIsolation = true;
     cfg.shardTimeoutSeconds = 0.5;
-    CampaignResult res =
-        runSupervisedCampaign(std::move(shards), cfg);
+    CampaignResult res = runCampaign(std::move(shards), cfg);
     EXPECT_FALSE(res.passed);
     EXPECT_EQ(res.shardsRun, 2u);
     EXPECT_EQ(res.hostTimeouts, 1u);
@@ -594,11 +572,11 @@ TEST(ForkIsolation, OutcomeSurvivesThePipeBitIdentically)
 {
     // One real shard, run in-process and forked: the pipe serialization
     // must not lose or distort anything the merge consumes.
-    CampaignResult direct = runSupervisedCampaign(
+    CampaignResult direct = runCampaign(
         gpuSeedSweep(tinyPreset(2), 7, 2), baseConfig(1));
-    SupervisorConfig forked_cfg = baseConfig(1);
+    CampaignConfig forked_cfg = baseConfig(1);
     forked_cfg.forkIsolation = true;
-    CampaignResult forked = runSupervisedCampaign(
+    CampaignResult forked = runCampaign(
         gpuSeedSweep(tinyPreset(2), 7, 2), forked_cfg);
 
     ASSERT_TRUE(direct.passed);
@@ -622,12 +600,11 @@ TEST(ForkIsolation, TransientRetryWorksAcrossForks)
     faults.arm(0, HostFaultKind::Transient, /*fail_attempts=*/1);
     faults.armShards(shards);
 
-    SupervisorConfig cfg = baseConfig(1);
+    CampaignConfig cfg = baseConfig(1);
     cfg.forkIsolation = true;
     cfg.maxRetries = 2;
     cfg.retryBackoffMs = 1;
-    CampaignResult res =
-        runSupervisedCampaign(std::move(shards), cfg);
+    CampaignResult res = runCampaign(std::move(shards), cfg);
     EXPECT_TRUE(res.passed);
     EXPECT_EQ(res.retriesPerformed, 1u);
     EXPECT_EQ(res.resourceExhausted, 0u);

@@ -2,7 +2,7 @@
  * @file
  * CI resilience drill for the campaign supervisor.
  *
- * Runs a small multi-seed GPU campaign under runSupervisedCampaign with
+ * Runs a small multi-seed GPU campaign under runCampaign with
  * host faults deliberately armed on designated shard indices — a crash
  * (SIGSEGV), a hang (infinite sleep), a transient failure that succeeds
  * on retry — then asserts the supervisor's triage against expectations
@@ -160,9 +160,9 @@ main(int argc, char **argv)
         return 2;
     }
 
-    SupervisorConfig cfg;
-    cfg.campaign.jobs = a.jobs;
-    cfg.campaign.stopOnFailure = false;
+    CampaignConfig cfg;
+    cfg.jobs = a.jobs;
+    cfg.stopOnFailure = false;
     cfg.forkIsolation = a.fork;
     cfg.shardTimeoutSeconds = a.shardTimeout;
     cfg.shardEventBudget = a.eventBudget;
@@ -172,7 +172,7 @@ main(int argc, char **argv)
     cfg.reproDir = a.reproDir;
     cfg.handleSignals = true;
 
-    CampaignResult res = runSupervisedCampaign(std::move(shards), cfg);
+    CampaignResult res = runCampaign(std::move(shards), cfg);
 
     std::printf("campaign: %zu planned, %zu run (%zu resumed, %zu "
                 "skipped)\n",
